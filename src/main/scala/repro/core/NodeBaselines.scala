@@ -12,11 +12,12 @@ object NodeBaselines {
 
   private def selectBy(dag: Dag, memoryBudget: Long, order: Vector[Int],
                        visit: Seq[Int]): Set[Int] = {
+    val residency = Residency(dag, order)
     var flagged = Set.empty[Int]
     visit.foreach { i =>
       if (dag.size(i) <= memoryBudget && dag.speedup(i) > 0) {
         val cand = flagged + i
-        if (Plan.peakMemoryUsage(dag, Plan(order, cand)) <= memoryBudget)
+        if (residency.peak(cand) <= memoryBudget)
           flagged = cand
       }
     }

@@ -4,52 +4,22 @@ package repro.core
   *
   * @param order   execution order as a sequence of node ids; order(k) is the
   *                (k+1)-th node to execute. (The paper's τ maps node → rank;
-  *                `rank` below recovers that view.)
+  *                [[Residency.rank]] recovers that view.)
   * @param flagged U — the nodes whose outputs are kept in the Memory Catalog
   */
 final case class Plan(order: Vector[Int], flagged: Set[Int]) {
-
-  /** rank(i) = τ(i): the 0-based position of node i in the order. */
-  lazy val rank: Map[Int, Int] = order.zipWithIndex.toMap
-
   def totalSpeedup(dag: Dag): Double = flagged.toSeq.map(dag.speedup).sum
   def totalFlaggedBytes(dag: Dag): Long = flagged.toSeq.map(dag.size).sum
 }
 
-/** Memory-occupancy semantics of a plan (§ III-C, § IV).
-  *
-  * A flagged node occupies the Memory Catalog from the moment it executes
-  * until its last child (by execution order) has executed; a childless
-  * flagged node occupies memory only during its own execution.
+/** Memory-occupancy measures of a plan (§ IV), under the release rule of
+  * [[Residency]].
   */
 object Plan {
 
-  /** releaseRank(j): last execution position at which flagged j is still held.
-    * Equals max over children of τ(child), or τ(j) itself when childless.
-    */
-  def releaseRank(dag: Dag, plan: Plan, j: Int): Int = {
-    val r = plan.rank
-    val kids = dag.children(j)
-    if (kids.isEmpty) r(j) else kids.map(r).max
-  }
-
-  /** Flagged nodes resident in memory while the node at position k executes. */
-  def residentAt(dag: Dag, plan: Plan, k: Int): Set[Int] = {
-    plan.flagged.filter { j =>
-      val rj = plan.rank(j)
-      rj <= k && k <= releaseRank(dag, plan, j)
-    }
-  }
-
-  /** Memory (bytes) in use at each execution position; length n. */
-  def usageTimeline(dag: Dag, plan: Plan): Vector[Long] =
-    (0 until dag.n).map(k => residentAt(dag, plan, k).toSeq.map(dag.size).sum).toVector
-
   /** Peak Memory-Catalog usage of the plan (the S/C Opt constraint). */
-  def peakMemoryUsage(dag: Dag, plan: Plan): Long = {
-    val tl = usageTimeline(dag, plan)
-    if (tl.isEmpty) 0L else tl.max
-  }
+  def peakMemoryUsage(dag: Dag, plan: Plan): Long =
+    Residency(dag, plan.order).peak(plan.flagged)
 
   /** Average memory usage — the objective of Problem 3 (S/C Opt Order):
     * (1/n) Σ_{v_i ∈ U} (max_{(v_i,v_j)∈E} τ(j) − τ(i)) · s_i,
@@ -57,8 +27,9 @@ object Plan {
     */
   def averageMemoryUsage(dag: Dag, plan: Plan): Double = {
     if (dag.n == 0) return 0.0
+    val r = Residency(dag, plan.order)
     plan.flagged.toSeq.map { i =>
-      (releaseRank(dag, plan, i) - plan.rank(i)).toDouble * dag.size(i)
+      (r.releaseRank(i) - r.rank(i)).toDouble * dag.size(i)
     }.sum / dag.n
   }
 

@@ -6,7 +6,7 @@ import scala.collection.mutable
 import scala.concurrent.duration.Duration
 import scala.concurrent.{Await, ExecutionContext, Future}
 import org.apache.spark.sql.SparkSession
-import repro.core.Plan
+import repro.core.{Plan, Residency}
 import repro.workload.{Dataset, MvSpec, TpcDsLite, Workload}
 
 /** Execution configuration for one refresh run.
@@ -47,7 +47,8 @@ final case class RunReport(workload: String, dataset: String, method: String,
   * the dataset, parents are either the flagged parent's memory-persisted
   * DataFrame (no storage read) or a Parquet read of the parent's
   * materialized output (modeled storage read). Flagged nodes are created in
-  * the Memory Catalog and materialized to storage on a background thread in
+  * the Memory Catalog, released from it at their [[repro.core.Residency]]
+  * release position, and materialized to storage on a background thread in
   * parallel with downstream execution; unflagged nodes materialize on the
   * critical path. The run ends when all MVs are materialized on storage.
   */
@@ -82,6 +83,7 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
     require(plan.order.size == workload.mvs.size, "plan must cover every MV")
     require(plan.flagged.forall(i => sizes.contains(workload.mvs(i).name)),
       "flagged nodes need calibrated sizes")
+    val residency = Residency(workload.structuralDag, plan.order)
     Files.createDirectories(cfg.outDir)
     TpcDsLite.registerViews(spark, dataset)
 
@@ -93,15 +95,13 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
     implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(writePool)
     val bgWrites = mutable.Map.empty[String, Future[Double]]
     val released = mutable.Buffer.empty[org.apache.spark.sql.DataFrame]
-    val sdag = workload.structuralDag
-    val childrenLeft = mutable.Map.empty[Int, Int] ++
-      workload.mvs.indices.map(i => i -> sdag.children(i).size)
     val nodeReports = Vector.newBuilder[NodeReport]
     var readTotal, computeTotal, writeFgTotal = 0.0
 
     val t0 = System.nanoTime()
     try {
-      plan.order.foreach { idx =>
+      plan.order.indices.foreach { k =>
+        val idx = plan.order(k)
         val mv = workload.mvs(idx)
         // Bind parent views: Memory Catalog hit → cached DataFrame, no
         // storage read; miss → Parquet read with modeled NFS delay.
@@ -149,20 +149,14 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
           nodeReports += NodeReport(mv.name, flagged = false, outBytes, baseRead, parentRead, execMs, writeDelay)
         }
 
-        // Release flagged nodes whose last dependent just executed — the
-        // node itself when childless (§ III-C: freed as soon as every node
-        // depending on it completes; nothing depends on a sink). The
-        // physical unpersist waits for the background materialization.
-        def releaseFromCatalog(name: String): Unit = {
+        // Release the flagged nodes whose release position was this one
+        // (Residency). The physical unpersist waits for the background
+        // materialization (Fig 6, t4).
+        residency.releasedAt(k).filter(plan.flagged).foreach { j =>
+          val name = workload.mvs(j).name
           val df = catalog.release(name)
           released += df // unpersist is idempotent; finally-block backstop
           bgWrites(name).onComplete(_ => df.unpersist(false))
-        }
-        if (flagged && sdag.children(idx).isEmpty) releaseFromCatalog(mv.name)
-        mv.parents.foreach { p =>
-          val pi = workload.index(p)
-          childrenLeft(pi) -= 1
-          if (childrenLeft(pi) == 0 && catalog.contains(p)) releaseFromCatalog(p)
         }
       }
 

@@ -56,20 +56,24 @@ final class LruBaseline(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) 
         if (readDelay >= 1.0) Thread.sleep(readDelay.toLong)
         readTotal += readDelay
 
+        // A node that will be cached is persisted before its write, so the
+        // write is the one action that computes it and fills the cache.
+        val bytes = sizes(mv.name)
+        val cacheIt = bytes <= cfg.memoryCatalogBytes && sdag.children(idx).nonEmpty
         val tExec0 = System.nanoTime()
         val df = spark.sql(mv.sqlFor(dataset.partitioned))
+        if (cacheIt) {
+          evictUntilFits(bytes)
+          df.persist(StorageLevel.MEMORY_ONLY)
+        }
         df.write.mode("overwrite").parquet(cfg.outDir.resolve(mv.name).toString)
         val execMs = (System.nanoTime() - tExec0) / 1e6
         computeTotal += execMs
-        val bytes = sizes(mv.name)
         val writeDelay = cfg.nfs.fold(0.0)(_.writeMs(bytes))
         if (writeDelay >= 1.0) Thread.sleep(writeDelay.toLong)
         writeFgTotal += writeDelay
 
-        if (bytes <= cfg.memoryCatalogBytes && sdag.children(idx).nonEmpty) {
-          evictUntilFits(bytes)
-          df.persist(StorageLevel.MEMORY_ONLY)
-          df.count()
+        if (cacheIt) {
           cache(mv.name) = (df, bytes)
           cachedBytes += bytes
           peak = math.max(peak, cachedBytes)

@@ -5,7 +5,8 @@ import org.apache.spark.storage.StorageLevel
 import scala.collection.mutable
 
 /** The bounded Memory Catalog (§ III-B): flagged node outputs live here as
-  * memory-persisted DataFrames until every dependent MV has executed.
+  * memory-persisted DataFrames until the caller releases them; the
+  * controller does so at the release position given by [[repro.core.Residency]].
   *
   * Accounting uses the calibrated on-disk sizes — the same numbers the
   * optimizer reasoned with — and is asserted against the budget on every
@@ -39,9 +40,9 @@ final class MemoryCatalog(val budgetBytes: Long) {
     rows
   }
 
-  /** Release accounting for `name` (its last child has executed). The
-    * physical unpersist may be deferred by the caller until the node's
-    * background materialization finished (Fig 6, t4).
+  /** Release accounting for `name`. The physical unpersist may be deferred
+    * by the caller until the node's background materialization finished
+    * (Fig 6, t4).
     */
   def release(name: String): DataFrame = {
     val e = entries.remove(name).getOrElse(

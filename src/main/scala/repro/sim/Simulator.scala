@@ -1,6 +1,6 @@
 package repro.sim
 
-import repro.core.{Dag, Plan}
+import repro.core.{Dag, Plan, Residency}
 
 /** Deterministic timeline simulator of an MV refresh run (§ III-C, Fig 6).
   *
@@ -10,8 +10,8 @@ import repro.core.{Dag, Plan}
   * with downstream execution; an unflagged node is written to storage on
   * the critical path. Children read flagged parents from memory and
   * unflagged parents from storage. A flagged node leaves memory once both
-  * its last child has executed and its background write has finished
-  * (Fig 6, t4).
+  * the node at its [[repro.core.Residency]] release position has executed
+  * and its background write has finished (Fig 6, t4).
   */
 object Simulator {
 
@@ -42,8 +42,10 @@ object Simulator {
   def simulate(dag: Dag, plan: Plan, cost: CostModel, in: Inputs): Report = {
     require(dag.isTopological(plan.order), "simulate requires a topological order")
     require(in.sizes.size == dag.n && in.computeMs.size == dag.n && in.baseReadBytes.size == dag.n)
+    // Non-negative times keep the foreground clock monotone, so the node at
+    // a release position ends no earlier than the released node's other children.
+    require(in.computeMs.forall(_ >= 0) && in.memCreateMs >= 0, "times must be non-negative")
 
-    val rank = plan.rank
     var t = 0.0          // foreground clock
     var bgFree = 0.0     // background materialization channel availability
     val execEnd = Array.ofDim[Double](dag.n)
@@ -78,17 +80,16 @@ object Simulator {
     val endToEnd = math.max(t, bgFree)
 
     // Peak Memory-Catalog bytes over continuous time: a flagged node is
-    // resident from its execution end until max(last child exec end, its
-    // own background-write end). Sample at every event boundary.
-    val flagged = plan.flagged.toVector.sortBy(rank)
-    val residentUntil = flagged.map { j =>
-      val lastChild = dag.children(j).map(execEnd).foldLeft(0.0)(math.max)
-      j -> math.max(math.max(lastChild, bgEnd(j)), execEnd(j))
-    }.toMap
-    val events = (flagged.map(execEnd(_)) ++ flagged.map(residentUntil)).distinct.sorted
-    val peak = events.map { e =>
-      flagged.filter(j => execEnd(j) <= e && e < residentUntil(j)).map(in.sizes(_)).sum
-    }.foldLeft(0L)(math.max)
+    // resident over [execEnd, residentUntil), residentUntil being the later
+    // of its release position's execution end and its own background-write
+    // end. One sorted sweep; at equal instants releases come first, so an
+    // empty interval never counts.
+    val residency = Residency(dag, plan.order)
+    val events = plan.flagged.toVector.flatMap { j =>
+      val until = math.max(execEnd(plan.order(residency.releaseRank(j))), bgEnd(j))
+      Vector((execEnd(j), in.sizes(j)), (until, -in.sizes(j)))
+    }.sorted(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long))
+    val peak = events.scanLeft(0L)(_ + _._2).max
 
     Report(endToEnd, readTotal, computeTotal, writeTotal, peak, plan.order.map(execEnd).toVector)
   }

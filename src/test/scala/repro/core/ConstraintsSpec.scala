@@ -22,7 +22,7 @@ class ConstraintsSpec extends AnyFunSuite {
   test("alive sets match residentAt semantics for full candidate set") {
     val sets = Constraints.aliveSets(dag, idOrder, Set.empty)
     (0 until dag.n).foreach { k =>
-      val expected = Plan.residentAt(dag, Plan(idOrder, (0 until dag.n).toSet), k)
+      val expected = ResidencyReference.residentAt(dag, Plan(idOrder, (0 until dag.n).toSet), k)
       assert(sets(k) == expected, s"position $k")
     }
   }
@@ -69,6 +69,17 @@ class ConstraintsSpec extends AnyFunSuite {
           assert(sets.exists(s => flags.intersect(s).toSeq.map(d.size).sum > m),
             s"seed=$seed flags=$flags escaped all constraints")
         }
+      }
+    }
+  }
+
+  test("alive sets and constraint sets equal the quadratic reference, rows in order") {
+    ResidencyReference.cases.foreach { c =>
+      assert(Constraints.aliveSets(c.dag, c.order, c.exclude) ==
+        ResidencyReference.aliveSets(c.dag, c.order, c.exclude), c.label)
+      c.budgets.foreach { m =>
+        assert(Constraints.constraintSets(c.dag, c.order, m) ==
+          ResidencyReference.constraintSets(c.dag, c.order, m), s"${c.label} M=$m")
       }
     }
   }

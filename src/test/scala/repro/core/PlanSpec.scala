@@ -11,31 +11,39 @@ class PlanSpec extends AnyFunSuite {
   private val idOrder = Vector(0, 1, 2, 3, 4, 5)
 
   test("rank inverts the order") {
-    val p = Plan(Vector(2, 0, 1), Set.empty)
-    assert(p.rank == Map(2 -> 0, 0 -> 1, 1 -> 2))
+    val d = Dag.of(Seq(1, 1, 1), Seq(1, 1, 1), Set.empty)
+    assert(Residency(d, Vector(2, 0, 1)).rank == Vector(1, 2, 0))
   }
 
   test("releaseRank is the last child's position") {
-    val p = Plan(idOrder, Set(0))
-    assert(Plan.releaseRank(dag, p, 0) == 3) // children at positions 1 and 3
+    assert(Residency(dag, idOrder).releaseRank(0) == 3) // children at positions 1 and 3
   }
 
   test("releaseRank of a childless node is its own position") {
-    val p = Plan(idOrder, Set(5))
-    assert(Plan.releaseRank(dag, p, 5) == 5)
+    assert(Residency(dag, idOrder).releaseRank(5) == 5)
+  }
+
+  test("releasedAt groups nodes by release position") {
+    assert(Residency(dag, idOrder).releasedAt ==
+      Vector(Vector(), Vector(1), Vector(), Vector(0, 3), Vector(2), Vector(4, 5)))
   }
 
   test("residentAt honors flagged lifetime") {
-    val p = Plan(idOrder, Set(0, 2))
-    assert(Plan.residentAt(dag, p, 0) == Set(0))
-    assert(Plan.residentAt(dag, p, 2) == Set(0, 2)) // both alive at position 2
-    assert(Plan.residentAt(dag, p, 4) == Set(2))    // 0 released after position 3
-    assert(Plan.residentAt(dag, p, 5) == Set.empty[Int])
+    val sets = Residency(dag, idOrder).residentSets(Set(0, 2))
+    assert(sets(0) == Set(0))
+    assert(sets(2) == Set(0, 2)) // both alive at position 2
+    assert(sets(4) == Set(2))    // 0 released after position 3
+    assert(sets(5) == Set.empty[Int])
+  }
+
+  test("residency rejects an order that is not a permutation") {
+    assertThrows[IllegalArgumentException](Residency(dag, Vector(0, 1, 2, 3, 4, 4)))
+    assertThrows[IllegalArgumentException](Residency(dag, Vector(0, 1, 2)))
   }
 
   test("usageTimeline and peak") {
     val p = Plan(idOrder, Set(0, 2))
-    assert(Plan.usageTimeline(dag, p) == Vector(100, 100, 200, 200, 100, 0))
+    assert(Residency(dag, idOrder).usageTimeline(p.flagged) == Vector(100, 100, 200, 200, 100, 0))
     assert(Plan.peakMemoryUsage(dag, p) == 200)
   }
 
@@ -75,7 +83,7 @@ class PlanSpec extends AnyFunSuite {
       val p = Plan(order, flags)
       // Direct simulation: for each time step, sum sizes of flagged nodes
       // whose execution has happened and that still have a pending child.
-      val pos = p.rank
+      val pos = order.zipWithIndex.toMap
       val direct = (0 until d.n).map { k =>
         flags.toSeq.filter { j =>
           val lastChild = (d.children(j).map(pos) :+ pos(j)).max
@@ -83,6 +91,20 @@ class PlanSpec extends AnyFunSuite {
         }.map(d.size).sum
       }.max
       assert(Plan.peakMemoryUsage(d, p) == direct, s"seed $s")
+    }
+  }
+
+  test("residency matches the quadratic reference on random dags") {
+    ResidencyReference.cases.foreach { c =>
+      val r = Residency(c.dag, c.order)
+      val p = Plan(c.order, c.flagged)
+      assert(r.releaseRank == (0 until c.dag.n).map(ResidencyReference.releaseRank(c.dag, c.order, _)),
+        c.label)
+      assert(r.residentSets(c.flagged) ==
+        (0 until c.dag.n).map(ResidencyReference.residentAt(c.dag, p, _)), c.label)
+      assert(r.usageTimeline(c.flagged) == ResidencyReference.usageTimeline(c.dag, p), c.label)
+      assert(Plan.averageMemoryUsage(c.dag, p) == ResidencyReference.averageMemoryUsage(c.dag, p),
+        c.label)
     }
   }
 }

@@ -73,6 +73,8 @@ class ControllerSpec extends SparkSpec {
     val report = new Controller(spark, ds, ExecConfig(budget, None, out))
       .run(w, r.plan, sizes)
     assert(report.peakCatalogBytes <= budget)
+    // The controller releases by the same residency model the optimizer plans with.
+    assert(report.peakCatalogBytes == Plan.peakMemoryUsage(dag, r.plan))
     assert(r.plan.flagged.nonEmpty)
   }
 

@@ -1,5 +1,10 @@
 package repro.exec
 
+import scala.collection.mutable
+import org.apache.spark.TestListenerBus
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.execution.command.CreateViewCommand
+import org.apache.spark.sql.util.QueryExecutionListener
 import repro.SparkSpec
 import repro.workload.{TestData, Workloads}
 
@@ -18,8 +23,10 @@ class LruBaselineSpec extends SparkSpec {
     new Controller(spark, ds, ExecConfig(0L, None, calOut)).runBaseline(w, sizes)
     val out = TestData.freshOutDir("lru-run")
     val budget = ds.totalBytes / 2
-    new LruBaseline(spark, ds, ExecConfig(budget, Some(NfsModel(1e6, 1e6, 0)), out))
-      .run(w, sizes)
+    val actions = actionsDuring(new LruBaseline(spark, ds,
+      ExecConfig(budget, Some(NfsModel(1e6, 1e6, 0)), out)).run(w, sizes))
+    // The write is each MV's only action: a cached node is not recomputed.
+    assert(actions.size == w.mvs.size, actions.mkString(", "))
     w.mvs.foreach { mv =>
       val a = spark.read.parquet(out.resolve(mv.name).toString).collect().map(_.toString).sorted
       val b = spark.read.parquet(calOut.resolve(mv.name).toString).collect().map(_.toString).sorted
@@ -50,6 +57,23 @@ class LruBaselineSpec extends SparkSpec {
     assert(cached.tableReadMs < zero.tableReadMs)
     // Writes stay on the critical path for LRU — identical totals.
     assert(math.abs(cached.writeForegroundMs - zero.writeForegroundMs) < 1.0)
+  }
+
+  /** The Spark SQL actions `body` runs, as (action name, plan node), leaving
+    * out the commands that register temp views.
+    */
+  private def actionsDuring(body: => Unit): Seq[(String, String)] = {
+    val seen = mutable.Buffer.empty[(String, String)]
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        if (!qe.analyzed.isInstanceOf[CreateViewCommand])
+          seen.synchronized(seen += funcName -> qe.analyzed.nodeName)
+      override def onFailure(funcName: String, qe: QueryExecution, e: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try { body; TestListenerBus.drain(spark.sparkContext) }
+    finally spark.listenerManager.unregister(listener)
+    seen.synchronized(seen.toList)
   }
 
   private implicit class RichReport(r: RunReport) {

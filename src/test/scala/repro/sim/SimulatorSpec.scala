@@ -87,6 +87,28 @@ class SimulatorSpec extends AnyFunSuite {
     }
   }
 
+  test("matches the reference simulator on random dags and flag sets") {
+    // Infinite bandwidths make writes (and memory creates) free, so childless
+    // flagged nodes get zero-length residencies and many events coincide.
+    val costs = Seq(
+      "disk" -> cost,
+      "free writes" -> CostModel(100, Double.PositiveInfinity, 10000, latencyMs = 0),
+      "free io" -> CostModel(Double.PositiveInfinity, Double.PositiveInfinity,
+        Double.PositiveInfinity, latencyMs = 0))
+    repro.core.ResidencyReference.cases.foreach { c =>
+      val d = c.dag
+      val rnd = new scala.util.Random(d.n)
+      val in = Simulator.Inputs(d.nodes.map(_.sizeBytes),
+        Vector.fill(d.n)(if (rnd.nextBoolean()) 0.0 else rnd.nextInt(20).toDouble),
+        Vector.fill(d.n)(rnd.nextInt(3) * 1000L), memCreateMs = rnd.nextInt(2).toDouble)
+      val plan = Plan(c.order, c.flagged)
+      costs.foreach { case (cn, cm) =>
+        assert(Simulator.simulate(d, plan, cm, in) == SimulatorReference.simulate(d, plan, cm, in),
+          s"${c.label} $cn")
+      }
+    }
+  }
+
   test("speedup score matches simulated saving for an isolated flag") {
     // Chain 0 → 1: flagging 0 saves its child's disk read and moves its
     // write off the critical path (bg write still bounds end-to-end here

@@ -59,6 +59,16 @@ class WorkloadOracleSpec extends SparkSpec {
     }
   }
 
+  test("oracle accepts a correct aggregate and rejects a wrong one") {
+    val ss = baseDfs("store_sales")
+    ss.createOrReplaceTempView("ss_oracle")
+    val sql = "SELECT ss_store_sk AS s, COUNT(*) AS cnt FROM ss_oracle GROUP BY ss_store_sk"
+    Oracle.assertEquivalent(spark.sql(sql), sql, "ss_oracle" -> ss)
+    val bad = spark.sql(
+      "SELECT ss_store_sk AS s, COUNT(*) + 1 AS cnt FROM ss_oracle GROUP BY ss_store_sk")
+    assertThrows[IllegalArgumentException](Oracle.assertEquivalent(bad, sql, "ss_oracle" -> ss))
+  }
+
   // Cross-dataset invariant: extract nodes with a year filter on both
   // variants produce identical rows on TPC-DS and TPC-DSp.
   for (c <- Workloads.channels) {
